@@ -187,7 +187,7 @@ func run(ctx context.Context, obs *cliutil.Observability, wl, llc, config string
 		Workload:  wl,
 		TraceOpts: genOpts,
 		Config:    cfg,
-		Trace:     tr,
+		Trace:     engine.TraceOf(tr),
 	})
 	if err != nil {
 		return err

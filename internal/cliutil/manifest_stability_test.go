@@ -40,7 +40,7 @@ func runManifestTrial(t *testing.T, path string) {
 			Workload:  "cg",
 			TraceOpts: opts,
 			Config:    system.Gainestown(m),
-			Trace:     tr,
+			Trace:     engine.TraceOf(tr),
 		})
 	}
 	eng := engine.New(append(o.EngineOptions(), engine.WithParallelism(1))...)

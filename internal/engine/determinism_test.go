@@ -32,7 +32,7 @@ func mtJobs(t *testing.T) []Job {
 				Workload:  name,
 				TraceOpts: opts,
 				Config:    system.Gainestown(reference.SRAMBaseline()).WithCores(threads),
-				Trace:     tr,
+				Trace:     TraceOf(tr),
 			})
 		}
 	}
@@ -66,7 +66,7 @@ func TestEngineSchedulerEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := system.RunScheduled(context.Background(), j.Config, j.Trace, system.SchedLinearScan, nil)
+		want, err := system.RunScheduled(context.Background(), j.Config, mustTrace(t, j), system.SchedLinearScan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

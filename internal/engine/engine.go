@@ -43,6 +43,8 @@ import (
 // NoCache).
 //
 // The trace arrives either materialized (Trace) or streamed (Source).
+// Both are providers the engine calls only when it is about to run the
+// simulation, so a job answered from the cache never builds its trace.
 // The two forms are interchangeable: the simulator produces byte-
 // identical results for the same access sequence, and the cache key does
 // not distinguish them, so a streamed job can be answered by a cached
@@ -54,8 +56,14 @@ type Job struct {
 	TraceOpts workload.Options
 	// Config is the simulated machine.
 	Config system.Config
-	// Trace is the access trace to simulate.
-	Trace *trace.Trace
+	// Trace, when non-nil, provides the materialized access trace to
+	// simulate. The engine calls it at most once per simulation (and
+	// once per timeline upgrade), never on a memory or store hit, and
+	// outside the timed simulation. Jobs over one trace typically share
+	// one memoized provider, so it must be safe for concurrent calls. A
+	// provider error fails the job like a simulation error: it is not
+	// cached, and a later Run calls the provider again.
+	Trace func() (*trace.Trace, error)
 	// Source, when Trace is nil, supplies the trace as a chunked stream:
 	// the factory is called once per actual simulation (cache hits skip
 	// it) and must return a fresh, unconsumed source each time — sources
@@ -66,6 +74,12 @@ type Job struct {
 	// NoCache forces a fresh simulation and keeps the result out of the
 	// cache (for traces whose provenance the key cannot capture).
 	NoCache bool
+}
+
+// TraceOf wraps a trace the caller already holds as a Job.Trace or
+// ProfileJob.Trace provider.
+func TraceOf(tr *trace.Trace) func() (*trace.Trace, error) {
+	return func() (*trace.Trace, error) { return tr, nil }
 }
 
 // StreamJob builds a streaming job for a named workload: the generator
@@ -418,6 +432,9 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 		tc := *e.timeline
 		j.Config.Timeline = &tc
 	}
+	// The trace is built before the span and the clock start: generation
+	// is not simulation time.
+	tr, err := loadTrace(j.Trace)
 	spanName := "simulate"
 	if upgrade {
 		spanName = "upgrade"
@@ -431,12 +448,12 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	}
 	start := time.Now()
 	var res *system.Result
-	var err error
 	var accesses uint64
 	switch {
-	case j.Trace != nil:
-		res, err = system.RunWith(ctx, j.Config, j.Trace, scratch)
-		accesses = uint64(len(j.Trace.Accesses))
+	case err != nil:
+	case tr != nil:
+		res, err = system.RunWith(ctx, j.Config, tr, scratch)
+		accesses = uint64(len(tr.Accesses))
 	case j.Source != nil:
 		res, accesses, err = e.runSource(ctx, j, scratch)
 	default:
@@ -468,6 +485,30 @@ func (e *Engine) simulateKeyed(ctx context.Context, j Job, key string, upgrade b
 	span.End()
 	e.emit(j, key, res, false, upgrade, err, wall)
 	return res, err
+}
+
+// traceError marks a job that failed because its trace provider did.
+// Every job over that trace shares the failure, so RunAll reports it
+// once per trace instead of once per design point.
+type traceError struct{ err error }
+
+func (e *traceError) Error() string { return e.err.Error() }
+func (e *traceError) Unwrap() error { return e.err }
+
+// loadTrace calls a job's trace provider; a nil provider yields no
+// trace and no error.
+func loadTrace(provide func() (*trace.Trace, error)) (*trace.Trace, error) {
+	if provide == nil {
+		return nil, nil
+	}
+	tr, err := provide()
+	if err == nil && tr == nil {
+		err = errors.New("engine: trace provider returned no trace")
+	}
+	if err != nil {
+		return nil, &traceError{err}
+	}
+	return tr, nil
 }
 
 func (e *Engine) emit(j Job, key string, res *system.Result, cachedHit, upgraded bool, err error, wallNS int64) {
@@ -525,18 +566,27 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*system.Result, erro
 }
 
 // joinJobErrors aggregates per-job failures, labeling each with its
-// design point and collapsing the flood of identical context errors a
-// cancellation produces into a single entry.
+// design point, collapsing the flood of identical context errors a
+// cancellation produces into a single entry, and reporting a failed
+// trace once per (workload, options) rather than once per job over it.
 func joinJobErrors(jobs []Job, errs []error) error {
 	var out []error
 	ctxSeen := false
+	tracesSeen := map[string]bool{}
 	for i, err := range errs {
+		var te *traceError
 		switch {
 		case err == nil:
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			if !ctxSeen {
 				out = append(out, err)
 				ctxSeen = true
+			}
+		case errors.As(err, &te):
+			key := fmt.Sprintf("%s|%+v", jobs[i].Workload, jobs[i].TraceOpts)
+			if !tracesSeen[key] {
+				out = append(out, fmt.Errorf("engine: %s trace: %w", jobs[i].Workload, err))
+				tracesSeen[key] = true
 			}
 		default:
 			out = append(out, fmt.Errorf("engine: %s on %s: %w", jobs[i].Workload, jobs[i].LLCName(), err))

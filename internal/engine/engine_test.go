@@ -10,6 +10,7 @@ import (
 
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
+	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -28,8 +29,18 @@ func testJob(t *testing.T, name string, opts workload.Options) Job {
 		Workload:  name,
 		TraceOpts: opts,
 		Config:    system.Gainestown(reference.SRAMBaseline()),
-		Trace:     tr,
+		Trace:     TraceOf(tr),
 	}
+}
+
+// mustTrace returns the trace a test job holds.
+func mustTrace(t *testing.T, j Job) *trace.Trace {
+	t.Helper()
+	tr, err := j.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func smallOpts() workload.Options {
@@ -54,8 +65,8 @@ func TestRunCachesSecondCall(t *testing.T) {
 	if r1 != r2 {
 		t.Error("cache did not return the memoized result")
 	}
-	if s.Accesses != uint64(len(j.Trace.Accesses)) {
-		t.Errorf("accesses = %d, want %d (cache hits must not recount)", s.Accesses, len(j.Trace.Accesses))
+	if n := len(mustTrace(t, j).Accesses); s.Accesses != uint64(n) {
+		t.Errorf("accesses = %d, want %d (cache hits must not recount)", s.Accesses, n)
 	}
 }
 

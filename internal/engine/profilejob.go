@@ -24,7 +24,8 @@ import (
 )
 
 // ProfileJob is one profiling request: a trace plus the geometry cover
-// to profile it over. Trace/Source/NoCache behave exactly as on Job.
+// to profile it over. Trace/Source/NoCache behave exactly as on Job: the
+// Trace provider is called only for a profiling pass, never on a hit.
 type ProfileJob struct {
 	// Workload is the trace/workload name.
 	Workload string
@@ -36,8 +37,9 @@ type ProfileJob struct {
 	// L1/L2 levels first (profile.RunFiltered), so the profiled stream
 	// is the one the LLC sees; nil profiles the raw stream.
 	Hierarchy *profile.Hierarchy
-	// Trace is the materialized trace to profile.
-	Trace *trace.Trace
+	// Trace, when non-nil, provides the materialized trace to profile
+	// (same contract as Job.Trace).
+	Trace func() (*trace.Trace, error)
 	// Source, when Trace is nil, supplies the trace as a chunked stream
 	// (same contract as Job.Source).
 	Source func() (trace.ChunkSource, error)
@@ -155,6 +157,8 @@ func (e *Engine) RunProfile(ctx context.Context, pj ProfileJob) (*profile.Profil
 // layer for generator-backed jobs and the engine scratch pool for
 // buffers. It is accounted under Stats.Profiles (never Jobs()).
 func (e *Engine) computeProfile(ctx context.Context, pj ProfileJob) (*profile.Profile, error) {
+	// Like simulations, the trace is built before the span and the clock.
+	tr, err := loadTrace(pj.Trace)
 	span := e.reg.StartSpan("profile", telemetry.SpanFromContext(ctx))
 	span.SetAttr("workload", pj.Workload)
 	defer span.End()
@@ -163,7 +167,10 @@ func (e *Engine) computeProfile(ctx context.Context, pj ProfileJob) (*profile.Pr
 		scratch = new(system.Scratch)
 	}
 	start := time.Now()
-	p, err := e.profileSource(ctx, pj, scratch.ProfileScratch())
+	var p *profile.Profile
+	if err == nil {
+		p, err = e.profileSource(ctx, pj, tr, scratch.ProfileScratch())
+	}
 	wall := time.Since(start).Nanoseconds()
 	e.scratch.Put(scratch)
 	e.simWallNS.Add(wall)
@@ -187,11 +194,11 @@ func runProfilePass(ctx context.Context, pj ProfileJob, src trace.ChunkSource, s
 	return profile.Run(ctx, src, pj.Config, sc)
 }
 
-// profileSource obtains the job's stream — materialized trace,
+// profileSource obtains the job's stream — the materialized trace tr,
 // share-layer slice, or the job's own source — and profiles it.
-func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, sc *profile.Scratch) (*profile.Profile, error) {
-	if pj.Trace != nil {
-		src, err := trace.NewTraceSource(pj.Trace)
+func (e *Engine) profileSource(ctx context.Context, pj ProfileJob, tr *trace.Trace, sc *profile.Scratch) (*profile.Profile, error) {
+	if tr != nil {
+		src, err := trace.NewTraceSource(tr)
 		if err != nil {
 			return nil, err
 		}

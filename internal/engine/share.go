@@ -61,7 +61,7 @@ type shareEntry struct {
 // shareKey identifies the trace a job will stream, independent of the
 // machine config. Only generator-backed jobs are shareable: a NoCache
 // job's provenance is by definition not captured by (Workload,
-// TraceOpts), and a materialized job has nothing to generate.
+// TraceOpts), and a materialized job brings its own trace provider.
 func shareKey(j Job) (string, bool) {
 	if j.NoCache || j.Trace != nil || j.Source == nil {
 		return "", false

@@ -134,7 +134,7 @@ func TestEngineLayoutEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aos, err := system.RunLayout(context.Background(), j.Config, j.Trace, cache.LayoutAoS, nil)
+		aos, err := system.RunLayout(context.Background(), j.Config, mustTrace(t, j), cache.LayoutAoS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

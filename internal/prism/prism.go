@@ -155,19 +155,33 @@ func Characterize(t *trace.Trace, cfg Config) Features {
 // distribution given by per-address access counts:
 // H = -Σ p(x_i)·log2(p(x_i)) with p(x_i) the access frequency of address i.
 // An empty or single-address distribution has zero entropy.
+//
+// Addresses with equal counts contribute equal terms, so the sum runs
+// over distinct counts in ascending order: one logarithm per distinct
+// count, and a summation order that does not depend on map iteration,
+// so equal distributions always yield bit-identical entropies.
 func Entropy(counts map[uint64]uint64) float64 {
-	n := total(counts)
+	mult := make(map[uint64]uint64)
+	var n uint64
+	for _, c := range counts {
+		if c > 0 {
+			mult[c]++
+			n += c
+		}
+	}
 	if n == 0 {
 		return 0
 	}
+	distinct := make([]uint64, 0, len(mult))
+	for c := range mult {
+		distinct = append(distinct, c)
+	}
+	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
 	var h float64
 	fn := float64(n)
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
+	for _, c := range distinct {
 		p := float64(c) / fn
-		h -= p * math.Log2(p)
+		h -= float64(mult[c]) * p * math.Log2(p)
 	}
 	if h < 0 { // guard against -0 from rounding
 		h = 0

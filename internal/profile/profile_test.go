@@ -213,10 +213,10 @@ func TestCancellation(t *testing.T) {
 // TestConfigValidate exercises the configuration error paths.
 func TestConfigValidate(t *testing.T) {
 	cases := []Config{
-		{},                                  // no set counts
-		{SetCounts: []int{3}},               // not a power of two
-		{SetCounts: []int{8, 8}},            // duplicate
-		{SetCounts: []int{8}, MaxWays: -1},  // bad ways
+		{},                                 // no set counts
+		{SetCounts: []int{3}},              // not a power of two
+		{SetCounts: []int{8, 8}},           // duplicate
+		{SetCounts: []int{8}, MaxWays: -1}, // bad ways
 		{SetCounts: []int{8}, BlockBytes: 3} /* bad block */}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); err == nil {

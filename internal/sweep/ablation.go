@@ -38,10 +38,7 @@ func AblationSuite(ctx context.Context, workloadName, llcName string, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
+	tr := lazyTrace(p, cfg.Opts)
 	eng := cfg.engineOrNew()
 
 	points := []struct {

@@ -7,7 +7,6 @@ import (
 	"nvmllc/internal/engine"
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -53,15 +52,12 @@ func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*Core
 		res.LLCs = append(res.LLCs, m.Name)
 	}
 
+	memo := traceMemo{}
 	var baseline *system.Result
 	for _, n := range cores {
 		opts := cfg.Opts
 		opts.Threads = n
-		tr, err := workload.Generate(p, opts)
-		if err != nil {
-			return nil, err
-		}
-		traces := map[string]*trace.Trace{name: tr}
+		traces := map[string]traceFunc{name: memo.lazy(p, opts)}
 		raw, err := runPoints(ctx, eng, models, []string{name}, traces, opts, cfg, n)
 		if err != nil {
 			return nil, err
@@ -74,17 +70,13 @@ func CoreSweep(ctx context.Context, name string, cores []int, cfg Config) (*Core
 			} else {
 				opts1 := cfg.Opts
 				opts1.Threads = 1
-				tr1, err := workload.Generate(p, opts1)
-				if err != nil {
-					return nil, err
-				}
 				sysCfg := system.Gainestown(reference.SRAMBaseline()).WithCores(1)
 				sysCfg.ModelWriteContention = cfg.WriteContention
 				baseline, err = eng.Run(ctx, engine.Job{
 					Workload:  name,
 					TraceOpts: opts1,
 					Config:    sysCfg,
-					Trace:     tr1,
+					Trace:     memo.lazy(p, opts1),
 				})
 				if err != nil {
 					return nil, err

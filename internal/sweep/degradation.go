@@ -112,10 +112,7 @@ func Degradation(ctx context.Context, cfg Config, opts DegradationOptions) (*Deg
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
+	tr := lazyTrace(p, cfg.Opts)
 	models := reference.FixedCapacityModels()
 	eng := cfg.engineOrNew()
 

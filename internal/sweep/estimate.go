@@ -42,7 +42,6 @@ import (
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/tablefmt"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -77,7 +76,7 @@ func (e *Estimator) pins(name string) bool {
 // runPoints evaluates the (workload × model) grid: exactly via runAll
 // when no estimator is configured (the default path, unchanged), or via
 // the profile-driven fast path.
-func runPoints(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
+func runPoints(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]traceFunc, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
 	if cfg.Estimator == nil {
 		return runAll(ctx, eng, models, names, traces, genOpts, cfg, coresOverride)
 	}
@@ -88,7 +87,7 @@ func runPoints(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel,
 // anchor and pinned models, one filtered reuse-distance profile per
 // workload, and analytical estimates for everything else. The returned
 // map has runAll's shape and partial-result semantics.
-func runEstimated(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
+func runEstimated(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]traceFunc, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
 	est := cfg.Estimator
 	var exact, approx []nvsim.LLCModel
 	for _, m := range models {
@@ -304,7 +303,7 @@ type EstimateRow struct {
 	PredHits, ExactHits       uint64
 	PredHitRate, ExactHitRate float64
 	// AbsRateErr is |predicted − exact| hit rate, in percentage points.
-	AbsRateErr float64
+	AbsRateErr              float64
 	PredMPKI, ExactMPKI     float64
 	PredTimeNS, ExactTimeNS float64
 	// TimeErrPct is the signed relative execution-time error in percent.
@@ -346,10 +345,7 @@ func Estimate(ctx context.Context, cfg Config, opts EstimateOptions) (*EstimateS
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
+	tr := lazyTrace(p, cfg.Opts)
 	caps, err := cache.CapacityLadder(opts.MaxCapacityBytes, opts.Points)
 	if err != nil {
 		return nil, err
@@ -403,7 +399,7 @@ func Estimate(ctx context.Context, cfg Config, opts EstimateOptions) (*EstimateS
 		return nil, err
 	}
 
-	study := &EstimateStudy{Workload: opts.Workload, Threads: tr.Threads}
+	study := &EstimateStudy{Workload: opts.Workload, Threads: prof.Threads}
 	for i, c := range caps {
 		sets, err := cache.SetsFor(c, tmpl.BlockBytes, tmpl.LLCWays)
 		if err != nil {

@@ -50,7 +50,8 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]*charfw.Panel, error) {
 		nvms = append([]string(nil), reference.BestNVMs...)
 	}
 
-	fw, err := buildFramework(cfg, ws)
+	memo := traceMemo{}
+	fw, err := buildFramework(cfg, ws, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +61,11 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]*charfw.Panel, error) {
 	// is identical in the fixed-capacity and fixed-area model sets)
 	// simulate exactly once.
 	cfg.Config.Engine = cfg.Config.engineOrNew()
-	fixCap, err := RunFigure(ctx, "fig4 fixed-capacity", reference.FixedCapacityModels(), ws, cfg.Config)
+	fixCap, err := runFigure(ctx, "fig4 fixed-capacity", reference.FixedCapacityModels(), ws, cfg.Config, memo)
 	if err != nil {
 		return nil, err
 	}
-	fixArea, err := RunFigure(ctx, "fig4 fixed-area", reference.FixedAreaModels(), ws, cfg.Config)
+	fixArea, err := runFigure(ctx, "fig4 fixed-area", reference.FixedAreaModels(), ws, cfg.Config, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,9 @@ func Figure4(ctx context.Context, cfg Figure4Config) ([]*charfw.Panel, error) {
 }
 
 // buildFramework assembles the feature table from the configured source.
-func buildFramework(cfg Figure4Config, ws []string) (*charfw.Framework, error) {
+// Measured features draw their traces from memo, which the figure's
+// simulations share.
+func buildFramework(cfg Figure4Config, ws []string, memo traceMemo) (*charfw.Framework, error) {
 	fw := charfw.New()
 	switch cfg.Source {
 	case PaperFeatures:
@@ -117,7 +120,7 @@ func buildFramework(cfg Figure4Config, ws []string) (*charfw.Framework, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr, err := workload.Generate(p, cfg.Opts)
+			tr, err := memo.lazy(p, cfg.Opts)()
 			if err != nil {
 				return nil, err
 			}

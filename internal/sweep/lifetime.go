@@ -42,6 +42,16 @@ func Lifetime(ctx context.Context, cfg Config, llcs []string) (*LifetimeStudy, e
 	names := workload.CharacterizedNames()
 	eng := cfg.engineOrNew()
 
+	// One memoized trace per workload, shared by every LLC below.
+	traces := make(map[string]traceFunc, len(names))
+	for _, wlName := range names {
+		p, err := workload.ByName(wlName)
+		if err != nil {
+			return nil, err
+		}
+		traces[wlName] = lazyTrace(p, cfg.Opts)
+	}
+
 	study := &LifetimeStudy{}
 	fw := charfw.FromFeatureMap(reference.PaperFeatures())
 	for _, llcName := range llcs {
@@ -51,14 +61,6 @@ func Lifetime(ctx context.Context, cfg Config, llcs []string) (*LifetimeStudy, e
 		}
 		lifeByWorkload := map[string]float64{}
 		for _, wlName := range names {
-			p, err := workload.ByName(wlName)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := workload.Generate(p, cfg.Opts)
-			if err != nil {
-				return nil, err
-			}
 			sysCfg := system.Gainestown(model)
 			sysCfg.ModelWriteContention = cfg.WriteContention
 			sysCfg.TrackWear = true
@@ -66,7 +68,7 @@ func Lifetime(ctx context.Context, cfg Config, llcs []string) (*LifetimeStudy, e
 				Workload:  wlName,
 				TraceOpts: cfg.Opts,
 				Config:    sysCfg,
-				Trace:     tr,
+				Trace:     traces[wlName],
 			})
 			if err != nil {
 				return nil, err

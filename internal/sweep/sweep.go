@@ -22,7 +22,6 @@ import (
 	"nvmllc/internal/reference"
 	"nvmllc/internal/system"
 	"nvmllc/internal/telemetry"
-	"nvmllc/internal/trace"
 	"nvmllc/internal/workload"
 )
 
@@ -170,6 +169,12 @@ func (f *FigureResult) Cell(workloadName, llc string) (speedup, energy, ed2p flo
 // completed raw results — together with every job error joined via
 // errors.Join, so callers can render what finished.
 func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names []string, cfg Config) (*FigureResult, error) {
+	return runFigure(ctx, title, models, names, cfg, traceMemo{})
+}
+
+// runFigure is RunFigure drawing its traces from memo, so callers that
+// run several figures (or prism) over the same workloads share them.
+func runFigure(ctx context.Context, title string, models []nvsim.LLCModel, names []string, cfg Config, memo traceMemo) (*FigureResult, error) {
 	ctx, span := cfg.startSpan(ctx, "figure", "title", title)
 	defer span.End()
 	var sramIdx = -1
@@ -182,21 +187,13 @@ func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names
 		return nil, fmt.Errorf("sweep: model set lacks the SRAM baseline")
 	}
 
-	// Generate traces serially (cheap) so simulations can share them.
-	traces := make(map[string]*trace.Trace, len(names))
+	traces := make(map[string]traceFunc, len(names))
 	for _, name := range names {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := workload.Generate(p, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		traces[name] = tr
+		traces[name] = memo.lazy(p, cfg.Opts)
 	}
 
 	raw, runErr := runPoints(ctx, cfg.engineOrNew(), models, names, traces, cfg.Opts, cfg, 0)
@@ -235,11 +232,11 @@ func RunFigure(ctx context.Context, title string, models []nvsim.LLCModel, names
 // runAll simulates every (workload, model) pair through the engine.
 // coresOverride > 0 forces the core count (core sweep); otherwise the
 // Gainestown quad-core is used. genOpts must be the workload.Options the
-// traces were generated with (they key the engine's cache).
+// traces are generated with (they key the engine's cache).
 //
 // The returned map holds every design point that completed, even when the
 // joined error is non-nil — callers decide what to do with partial grids.
-func runAll(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]*trace.Trace, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
+func runAll(ctx context.Context, eng *engine.Engine, models []nvsim.LLCModel, names []string, traces map[string]traceFunc, genOpts workload.Options, cfg Config, coresOverride int) (map[string]map[string]*system.Result, error) {
 	jobs := make([]engine.Job, 0, len(names)*len(models))
 	for _, n := range names {
 		for _, m := range models {

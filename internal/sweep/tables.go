@@ -31,17 +31,13 @@ func TableV(ctx context.Context, cfg Config) ([]TableVRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := workload.Generate(p, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
 		sysCfg := system.Gainestown(reference.SRAMBaseline())
 		sysCfg.ModelWriteContention = cfg.WriteContention
 		r, err := eng.Run(ctx, engine.Job{
 			Workload:  w.Name,
 			TraceOpts: cfg.Opts,
 			Config:    sysCfg,
-			Trace:     tr,
+			Trace:     lazyTrace(p, cfg.Opts),
 		})
 		if err != nil {
 			return nil, err
@@ -78,7 +74,7 @@ func TableVI(ctx context.Context, cfg Config) ([]TableVIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := workload.Generate(p, cfg.Opts)
+		tr, err := generate(p, cfg.Opts)
 		if err != nil {
 			return nil, err
 		}

@@ -74,10 +74,7 @@ func Timeline(ctx context.Context, cfg Config, opts TimelineOptions) (*TimelineS
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workload.Generate(p, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
+	tr := lazyTrace(p, cfg.Opts)
 	models := reference.FixedCapacityModels()
 	eng := cfg.engineOrNew()
 
